@@ -1,0 +1,5 @@
+"""End-to-end and per-layer benchmark of the bcdc2bcdc_ray CDC engine.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see perfbench/README.md.
+"""
