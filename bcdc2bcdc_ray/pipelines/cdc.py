@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .. import plan
 from ..canonical import partition_ids
 from ..spec import TableSpec, transcripts_spec
 from ..state import fs as lakefs
@@ -388,6 +389,7 @@ def bootstrap_lake(
     from ..canonical import HASH_VERSION
     from ..stages.merge import LINEAGE_SCHEMA, bound_writer
 
+    plan.require_pool("bootstrap_lake")
     spec = spec or transcripts_spec()
     os.makedirs(lake_dir, exist_ok=True)
     meta_path = os.path.join(lake_dir, "_meta.json")
@@ -424,19 +426,14 @@ def bootstrap_lake(
         num_partitions = int(existing["num_partitions"])
     store = ManifestStore(lake_dir)
 
-    import ray
     import ray.data as rd
 
-    cluster_cpus = (
-        int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    )
     if isinstance(source, (str, list, tuple)):
-        # same explicit block sizing as replay: Ray's auto-split produced
-        # 372 blocks for a 1.4M-row snapshot and the sort shuffle is
-        # quadratic in block count (measured 16.6s wall on ~2s of CPU);
-        # max(CPUs, bytes/128MB) blocks sort the same data in ~3s
+        # Ray's auto-split produced 372 blocks for a 1.4M-row snapshot
+        # (measured 16.6s wall on ~2s of CPU); at plan.read_blocks the same
+        # data sorts in ~3s
         paths = [source] if isinstance(source, str) else list(source)
-        ds = rd.read_parquet(paths, override_num_blocks=_scan_blocks(paths))
+        ds = rd.read_parquet(paths, override_num_blocks=plan.read_blocks(paths))
     else:
         ds = source  # caller-built Dataset: caller controls block sizing
 
@@ -451,7 +448,7 @@ def bootstrap_lake(
         AssignPartition(spec, P, store.watermarks()), batch_format="pyarrow"
     )
     if concurrency is None:
-        concurrency = max(1, min(16, P // 2, cluster_cpus - 1))
+        concurrency = plan.writers(P, 0)
     with lake_lock(lake_dir):
         lineage_ds = ds.groupby(PART_COL).map_groups(
             bound_writer(lake_dir, spec, False, None),
@@ -1060,24 +1057,6 @@ def prune_changes(changes_dir: str, consumed: dict[int, int]) -> dict:
     return {"removed": removed, "kept": kept}
 
 
-def _scan_blocks(paths) -> int:
-    """Explicit read-block count for user-facing scans — same policy as the
-    replay read (cpus capped at 16, bytes/128MB at scale): Ray's auto-split
-    otherwise shreds pruned reads into hundreds of tiny blocks, and any
-    downstream sort/groupby exchange grows with the SQUARE of the block
-    count."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    total = 0
-    for p in paths:
-        try:
-            total += os.path.getsize(p)
-        except OSError:
-            pass
-    return max(min(cpus, 16), total // (128 << 20), 1)
-
-
 def read_changes_ds(changes_dir: str):
     """Streaming read of an outbound change feed as a Ray Dataset — the
     scale path for downstream consumers (the driver-side
@@ -1093,7 +1072,7 @@ def read_changes_ds(changes_dir: str):
     )
     if not files:
         raise FileNotFoundError(f"no change files in {changes_dir}")
-    return rd.read_parquet(files, override_num_blocks=_scan_blocks(files))
+    return rd.read_parquet(files, override_num_blocks=plan.read_blocks(files))
 
 
 _PRED_OPS = ("<", "<=", ">", ">=", "==", "between")
@@ -1209,7 +1188,7 @@ def read_lake(lake_dir: str, columns=None, keys=None, predicate=None):
     if not paths:
         return rd.from_arrow(strip(_lake_empty_table(lake_dir, columns)))
     return rd.read_parquet(
-        paths, columns=columns, override_num_blocks=_scan_blocks(paths)
+        paths, columns=columns, override_num_blocks=plan.read_blocks(paths)
     ).map_batches(strip, batch_format="pyarrow")
 
 
@@ -1363,26 +1342,31 @@ def _lake_empty_table(lake_dir: str, columns) -> pa.Table:
     return schema.empty_table()
 
 
-def iter_parquet_batches(paths, columns=None):
-    """Yield pyarrow Tables from an explicit parquet file list — in-process
-    when the set is tiny (≤ ``SCAN_LOCAL_BYTES``), else through a pruned,
-    block-sized Ray Data read. The generic-file sibling of
-    :func:`iter_lake_batches` for feed/index scans in the refresh paths."""
+def iter_parquet_batches(paths, columns=None, per_batch=None):
+    """Yield pyarrow Tables from an explicit parquet file list, each passed
+    through ``per_batch`` when given — in-process when the set is tiny (≤
+    ``plan.SCAN_LOCAL_BYTES``), else through a block-sized Ray Data read
+    with ``per_batch`` as its per-batch map (so it runs in the workers). The
+    generic-file sibling of :func:`iter_lake_batches` for feed/index scans
+    in the refresh paths."""
     paths = list(paths)
     if not paths:
         return
-    cap = int(os.environ.get("SCAN_LOCAL_BYTES", str(8 << 20)))
-    if sum(os.path.getsize(p) for p in paths) <= cap:
+    if plan.fits(plan.file_bytes(paths), "SCAN_LOCAL_BYTES"):
         for p in paths:
             t = pq.read_table(p, columns=columns)
+            if per_batch is not None:
+                t = per_batch(t)
             if t.num_rows:
                 yield t
         return
     import ray.data as rd
 
     ds = rd.read_parquet(
-        paths, columns=columns, override_num_blocks=_scan_blocks(paths)
+        paths, columns=columns, override_num_blocks=plan.read_blocks(paths)
     )
+    if per_batch is not None:
+        ds = ds.map_batches(per_batch, batch_format="pyarrow")
     for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
         if b.num_rows:
             yield b
@@ -1390,30 +1374,12 @@ def iter_parquet_batches(paths, columns=None):
 
 def iter_lake_batches(lake_dir: str, columns=None, keys=None, predicate=None):
     """Yield the same batches as ``read_lake(...).iter_batches()`` — but
-    when the pruned file set is tiny (≤ ``SCAN_LOCAL_BYTES``, default 8 MB),
-    read it in-process instead of paying a Ray Data launch. The refresh
-    paths (view/denorm) do several k-file pruned reads per increment; at
-    steady state each is a handful of partition files, where the cluster
-    round-trip costs ~100× the read itself. Large pruned sets stream
-    through :func:`read_lake` unchanged."""
+    when the pruned file set is tiny (≤ ``plan.SCAN_LOCAL_BYTES``), read it
+    in-process instead of paying a Ray Data launch. The refresh paths
+    (view/denorm) do several k-file pruned reads per increment; at steady
+    state each is a handful of partition files."""
     paths, read_cols, strip = _lake_scan_plan(lake_dir, columns, keys, predicate)
-    if not paths:
-        return
-    cap = int(os.environ.get("SCAN_LOCAL_BYTES", str(8 << 20)))
-    if sum(os.path.getsize(p) for p in paths) <= cap:
-        for p in paths:
-            b = strip(pq.read_table(p, columns=read_cols))
-            if b.num_rows:
-                yield b
-        return
-    import ray.data as rd
-
-    ds = rd.read_parquet(
-        paths, columns=read_cols, override_num_blocks=_scan_blocks(paths)
-    ).map_batches(strip, batch_format="pyarrow")
-    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
-        if b.num_rows:
-            yield b
+    yield from iter_parquet_batches(paths, read_cols, strip)
 
 
 def _foreach_partition(pids, work_one, force_local: bool = False) -> None:
@@ -1768,14 +1734,10 @@ class AssignPartition:
             c for c in batch.column_names
             if c not in ("lsn", "op", PART_COL) and not c.startswith("__")
         }
-        # PREHASH_DISABLE=1 is a bench/debug knob (A/B measured the pre-hash
-        # worth ~10% of replay wall at sf0.1 — it moves incoming-side hashing
-        # off the CPU-pinned writer actors onto the wide map stage)
-        if (
-            not self.spec.on_compare
-            and data_cols == self._spec_data_cols
-            and os.environ.get("PREHASH_DISABLE", "") != "1"
-        ):
+        # the pre-hash is worth ~10% of replay wall at sf0.1 (A/B): it moves
+        # incoming-side hashing off the CPU-pinned writer actors onto the
+        # wide map stage
+        if not self.spec.on_compare and data_cols == self._spec_data_cols:
             batch = self._add_hash(
                 batch, self._cmp, self.spec.falsy_null_columns, self._pre_col
             )
@@ -1793,25 +1755,8 @@ def _replay_execute(
     (non-dry-run) so concurrent replays cannot interleave partition
     rewrites; all distributed execution happens here."""
     import ray.data as rd
-    from ..sources import wal as wal_src
 
-    # Shuffle cost in Ray Data's sort-based groupby grows with the SQUARE of
-    # the block count (every map block exchanges a chunk with every reduce
-    # block): reading this 2M-event WAL at Ray's default split produced 224
-    # blocks and an 8-12s sort; ~1-per-CPU blocks sort the same data in ~1s.
-    # Target max(cluster CPUs, total_bytes / 128MB) blocks — at 100 TB the
-    # byte term dominates and keeps blocks at the recommended ~128MB.
-    import ray
-
-    cluster_cpus = (
-        int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    )
-    total_bytes = 0
-    for p in live_paths:
-        try:
-            total_bytes += os.path.getsize(p)
-        except OSError:
-            pass
+    total_bytes = plan.file_bytes(live_paths)
 
     # Micro-batch fast path: a steady-state CDC increment (a follow poll's
     # tail chunk, a view/denorm refresh's recompute WAL) is a few KB–MB, and
@@ -1823,41 +1768,46 @@ def _replay_execute(
     # AssignPartition → per-block LWW combiner → MergeWriter calls, so
     # manifests, watermarks, change-feed files and exactly-once semantics
     # are the same code path, just without a cluster round-trip. Same
-    # plan-picker pattern as the Jaccard verify's JACC_GATHER_BYTES.
+    # plan-picker pattern as the Jaccard verify's driver-gather cap.
     # Distributed is forced for: salting (a salted micro-batch is a
     # contradiction), stats=True (a probe OF the distributed pipeline), and
     # the _fault_once crash hook (it hard-exits the worker; the retry
-    # machinery under test is Ray's).
-    local_cap = int(os.environ.get("REPLAY_LOCAL_BYTES", str(1 << 20)))
-    if (
-        total_bytes <= local_cap
-        and not (salt and salt > 1)
-        and not stats
-        and not os.path.exists(os.path.join(lake_dir, "_fault_once"))
-    ):
-        lineage_tbl = _replay_local(
-            lake_dir, spec, P, watermarks, live_paths,
-            combine=combine, dry_run=dry_run, changes_dir=changes_dir,
-            changes_before=changes_before,
-        )
-        # None = the tiny WAL touches too many PARTITION bytes (the merge
-        # is copy-on-write per touched file, so its cost tracks partition
-        # size, not WAL size) — those merges want the writer pool's
-        # parallelism; fall through to the distributed plan.
-        if lineage_tbl is not None:
-            return _replay_report(
-                lineage_tbl.to_pandas(), wal_paths, store, dry_run=dry_run,
-                audit_dir=audit_dir, auto_compact_bytes=auto_compact_bytes,
-                lake_dir=lake_dir, spec=spec, stats_text=None,
-                exec_mode="local",
+    # machinery under test is Ray's). Below the writer pool's CPU floor the
+    # local plan is the only one that can run: forced requests are refused,
+    # every other replay runs locally whatever its size.
+    forced = (
+        "salt > 1" if salt and salt > 1
+        else "stats=True" if stats
+        else "a _fault_once hook"
+        if os.path.exists(os.path.join(lake_dir, "_fault_once"))
+        else None
+    )
+    if forced:
+        plan.require_pool(f"replay with {forced}")
+    else:
+        pool_ok = plan.pool_ok()
+        if not pool_ok or plan.fits(total_bytes, "REPLAY_LOCAL_BYTES"):
+            lineage_tbl = _replay_local(
+                lake_dir, spec, P, watermarks, live_paths,
+                combine=combine, dry_run=dry_run, changes_dir=changes_dir,
+                changes_before=changes_before, may_decline=pool_ok,
             )
-    # cap the CPU term at 16: on one node >16 concurrent sort/merge tasks
-    # saturate memory bandwidth (measured: 16 blocks beat 32 at 32 CPUs);
-    # at real scale the bytes term dominates anyway.
-    n_blocks = max(min(cluster_cpus, 16), total_bytes // (128 << 20), 1)
-    if os.environ.get("BCDC_READ_BLOCKS"):  # measured-override knob (bench)
-        n_blocks = int(os.environ["BCDC_READ_BLOCKS"])
-    ds = rd.read_parquet(list(live_paths), override_num_blocks=n_blocks)
+            # None = the tiny WAL touches too many PARTITION bytes (the
+            # merge is copy-on-write per touched file, so its cost tracks
+            # partition size, not WAL size) — those merges want the writer
+            # pool's parallelism; fall through to the distributed plan.
+            if lineage_tbl is not None:
+                return _replay_report(
+                    lineage_tbl.to_pandas(), wal_paths, store,
+                    dry_run=dry_run, audit_dir=audit_dir,
+                    auto_compact_bytes=auto_compact_bytes, lake_dir=lake_dir,
+                    spec=spec, stats_text=None, exec_mode="local",
+                )
+    # reading this 2M-event WAL at Ray's default split produced 224 blocks
+    # and an 8-12s sort; at plan.read_blocks the same data sorts in ~1s
+    ds = rd.read_parquet(
+        list(live_paths), override_num_blocks=plan.read_blocks(live_paths)
+    )
     ds = ds.map_batches(
         AssignPartition(spec, P, watermarks), batch_format="pyarrow"
     )
@@ -1883,33 +1833,14 @@ def _replay_execute(
     # BOUND (stages/merge.bound_writer) instead of taking fn_constructor_args
     # so actor restarts never depend on driver-held argument refs.
     if concurrency is None:
-        # Bytes-aware writer-pool sizing (VERDICT r4 next #8). Baseline:
-        # one writer per ~2 partitions (measured on the bench WAL: P//2
-        # writers doubled throughput over P//4 at 32 CPUs — merge-write is
-        # the serial tail; more writers past ~8 saturate single-node
-        # memory bandwidth), capped below the cluster CPU count (a pool
-        # reserving every CPU starves the upstream read/shuffle tasks and
-        # deadlocks the streaming executor). The static rule
-        # under-parallelizes ONE regime: a merged/compacted lake with few
-        # FAT partitions (P=4 → 2 writers while 4 independent fat merges
-        # queue behind the pool). When the average touched bytes per
-        # partition (live WAL + current partition files) exceeds
-        # WRITER_FAT_BYTES (32 MB), lift the pool to min(P, 8) — one
-        # writer per fat merge group up to the measured bandwidth sweet
-        # spot, never past P (idle writers) and never changing the P ≥ 16
-        # benched shapes. Callers override for bench; on a real cluster
-        # size to nodes × cores/writer.
-        wal_bytes = sum(os.path.getsize(p) for p in live_paths)
-        lake_bytes = sum(
-            os.path.getsize(partition_path(lake_dir, pid))
-            for pid in range(P)
-            if os.path.exists(partition_path(lake_dir, pid))
+        # bytes-aware (VERDICT r4 next #8): live WAL + current partition
+        # files; callers override for bench; on a real cluster size to
+        # nodes × cores/writer
+        concurrency = plan.writers(
+            P,
+            total_bytes
+            + plan.file_bytes(partition_path(lake_dir, pid) for pid in range(P)),
         )
-        fat = int(os.environ.get("WRITER_FAT_BYTES", str(32 << 20)))
-        target = P // 2
-        if (wal_bytes + lake_bytes) / max(P, 1) > fat:
-            target = max(target, min(P, 8))
-        concurrency = max(1, min(16, target, cluster_cpus - 1))
     from ..stages.merge import bound_writer
 
     lineage_ds = ds.groupby(PART_COL).map_groups(
@@ -1988,7 +1919,7 @@ def _replay_report(
 
 def _replay_local(
     lake_dir, spec, P, watermarks, live_paths, *,
-    combine, dry_run, changes_dir, changes_before,
+    combine, dry_run, changes_dir, changes_before, may_decline=True,
 ) -> Optional[pa.Table]:
     """Driver-side executor for micro-batch replays: the same logical plan
     as the distributed pipeline (AssignPartition → per-block LWW combiner →
@@ -1997,8 +1928,8 @@ def _replay_local(
     files and counters by construction — the stages are the same callables
     the distributed plan ships to workers; equivalence is pytest-pinned
     (test_replay_local_matches_distributed). Returns the lineage table —
-    or None when the touched PARTITION files exceed
-    ``REPLAY_LOCAL_TOUCH_BYTES`` (default 32 MB): each merge is a
+    or None when ``may_decline`` and the touched PARTITION files exceed
+    ``plan.REPLAY_LOCAL_TOUCH_BYTES``: each merge is a
     copy-on-write rewrite of its partition file, so a 300-event WAL
     spread over 16 large partitions costs 16 partition rewrites that the
     distributed writer pool does in parallel — the caller then falls back
@@ -2020,15 +1951,8 @@ def _replay_local(
     if batch.num_rows:
         pid_col = batch.column(_PART)
         pids = sorted(pc.unique(pid_col).to_pylist())
-        touch_cap = int(
-            os.environ.get("REPLAY_LOCAL_TOUCH_BYTES", str(32 << 20))
-        )
-        touched = 0
-        for pid in pids:
-            p = partition_path(lake_dir, pid)
-            if os.path.exists(p):
-                touched += os.path.getsize(p)
-        if touched > touch_cap:
+        touched = plan.file_bytes(partition_path(lake_dir, pid) for pid in pids)
+        if may_decline and not plan.fits(touched, "REPLAY_LOCAL_TOUCH_BYTES"):
             return None
         writer = bound_writer(
             lake_dir, spec, dry_run, changes_dir, changes_before

@@ -25,6 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .. import plan
 from ..functions import dedup, multimodal, similarity, text
 from ..spec import TableSpec
 from ..stages import delta, joins, transforms
@@ -160,27 +161,13 @@ def oracle_sql() -> dict[str, str]:
     }
 
 
-def _cpus() -> int:
-    import ray
-
-    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-
-
 def _read(sf_dir: str, table: str, columns=None):
     """Column-pruned parquet read with explicit block sizing: shuffle cost in
     sort-based groupby grows quadratically with block count, so target
-    max(min(CPUs,16), bytes/128MB) blocks instead of Ray's fine default
-    (same policy as pipelines/cdc.py replay)."""
-    import ray
+    ``plan.read_blocks`` blocks instead of Ray's fine default."""
     import ray.data as rd
 
     path = os.path.join(sf_dir, f"{table}.parquet")
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        size = 0
-    n_blocks = max(min(cpus, 16), size // (128 << 20), 1)
     # the driver's parquet carries pandas schema metadata, which Ray's
     # schema-dedup can't hash (it warns on every read/reduce task) — hand
     # read_parquet a metadata-stripped schema so blocks are born clean
@@ -189,7 +176,8 @@ def _read(sf_dir: str, table: str, columns=None):
     if columns:
         stripped = pa.schema([stripped.field(c) for c in columns])
     return rd.read_parquet(
-        path, columns=columns, schema=stripped, override_num_blocks=n_blocks
+        path, columns=columns, schema=stripped,
+        override_num_blocks=plan.read_blocks([path]),
     )
 
 
@@ -225,7 +213,7 @@ def _bucketed_map_groups(
     "pandas" for kernels built on grouped pandas ops)."""
     from ..canonical import key_hash
 
-    nb = n_buckets or min(_cpus(), 16)
+    nb = n_buckets or min(plan.cpus(), 16)
     keys = list(key_cols)
 
     def tag(b: pa.Table) -> pa.Table:
@@ -1394,9 +1382,8 @@ def ngram_jaccard_pairs(sf_dir: str):
     # distributed attach keeps the driver flat (~300 MB) beyond it.
     # Estimate from parquet FOOTERS only: shingles/doc ≈ text bytes/6
     # (word+space), 8 B per shingle hash.
-    gather_cap = float(os.environ.get("JACC_GATHER_BYTES", 64 << 20))
     est_payload = len(cand_ids) * (_avg_col_bytes(sf_dir, "documents", "text") / 6.0) * 8.0
-    local_verify = est_payload <= gather_cap
+    local_verify = plan.fits(est_payload, "DRIVER_GATHER_BYTES")
 
     class CandidateFilter:
         def __init__(self, r):
@@ -2109,7 +2096,7 @@ def semi_join_orders(sf_dir: str):
         keys,
         on=["o_custkey"],
         left_cols=["o_orderkey", "o_custkey"],
-        n_buckets=min(_cpus(), 16),
+        n_buckets=min(plan.cpus(), 16),
         bloom_bits=1 << 20,
     )
 
@@ -2145,7 +2132,7 @@ def anti_join_customers(sf_dir: str):
         on=["c_custkey"],
         left_cols=["c_custkey", "c_name"],
         anti=True,
-        n_buckets=min(_cpus(), 16),
+        n_buckets=min(plan.cpus(), 16),
         bloom_bits=1 << 20,
     )
 
@@ -2592,7 +2579,7 @@ def asof_join_orders(sf_dir: str):
         left_cols=["event_id"],
         right_cols=["o_orderkey"],
         right_tiebreak="o_orderkey",
-        n_buckets=min(_cpus(), 16),
+        n_buckets=min(plan.cpus(), 16),
     )
 
 
@@ -2668,7 +2655,7 @@ def range_join_events(sf_dir: str):
         right_cols=["b"],
         lower_offset=-us_hour,
         upper_offset=us_hour,
-        n_buckets=min(_cpus(), 16),
+        n_buckets=min(plan.cpus(), 16),
     )
 
 
@@ -3269,7 +3256,7 @@ def sessionize(sf_dir: str):
     (the ray_guide streaming-shaped pattern; ordering tie-broken by
     event_id on both sides)."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-    nb = min(_cpus(), 16)
+    nb = min(plan.cpus(), 16)
 
     def tag(b: pa.Table) -> pa.Table:
         from ..canonical import key_hash
@@ -3313,8 +3300,7 @@ def hourly_rollup(sf_dir: str):
     Arrow's hash aggregate per bucket (~10x faster end to end). Keys are
     co-located because the bucket is a pure function of user_id."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    cpus = _cpus()
-    n_buckets = min(cpus, 16)
+    n_buckets = min(plan.cpus(), 16)
 
     def prep(b: pa.Table) -> pa.Table:
         # keep us unit explicitly (floor_temporal can downcast the unit;
@@ -4625,7 +4611,7 @@ def view_sliding_window(sf_dir: str):
 )
 def view_sliding_window_dist(sf_dir: str):
     """``view_sliding_window`` through the DISTRIBUTED ``read_window`` plan
-    (round-5, VERDICT r4 wrong #1 / next-round #2): ``WINDOW_LOCAL_BYTES=0``
+    (round-5, VERDICT r4 wrong #1 / next-round #2): ``as_dataset=True``
     forces the crossover, so the pane explode + fold runs as per-block
     partial folds, ONE bucketed exchange on hash(window_start, *rest
     groups) and per-bucket finalize — the driver holds only the result
@@ -4657,15 +4643,14 @@ def view_sliding_window_dist(sf_dir: str):
         paths = cg.write_wal_chunks(events, os.path.join(tmp, "wal"), num_chunks=8)
         cdc.replay(lake_dir, paths, spec, changes_dir=changes, changes_before=True)
         view.refresh_view(os.path.join(tmp, "view"), changes)
-        prev = os.environ.get("WINDOW_LOCAL_BYTES")
-        os.environ["WINDOW_LOCAL_BYTES"] = "0"
-        try:
-            return view.read_window(os.path.join(tmp, "view"), 3600, 1800)
-        finally:
-            if prev is None:
-                del os.environ["WINDOW_LOCAL_BYTES"]
-            else:
-                os.environ["WINDOW_LOCAL_BYTES"] = prev
+        ds = view.read_window(os.path.join(tmp, "view"), 3600, 1800, as_dataset=True)
+        return pa.concat_tables(
+            [
+                b
+                for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+                if b.num_rows
+            ]
+        ).sort_by("window_start")
 
 
 _TOOL_REMAP = {
@@ -5194,9 +5179,9 @@ def neardup_dedup_docs(sf_dir: str):
     per connected component of the LSH pair graph, plus every unpaired
     doc. Survivorship plan picker (VERDICT r4 wrong #2): the drop set
     (paired non-representatives) stays in the OBJECT STORE (materialized
-    ids-only Dataset, never a driver list); up to ``NEARDUP_GATHER_BYTES``
-    (default 64 MB ≈ 8M ids) it broadcasts once via ``ray.put`` and the
-    corpus streams through an ``is_in`` anti-filter with zero shuffle;
+    ids-only Dataset, never a driver list); up to
+    ``plan.DRIVER_GATHER_BYTES`` (64 MB ≈ 8M ids) it broadcasts once via
+    ``ray.put`` and the corpus streams through an ``is_in`` anti-filter with zero shuffle;
     above the cap — a 100-TB corpus with a 30-50% dup rate has a drop set
     of billions of ids — it becomes a distributed anti semi-join
     (``joins.semi_join``), whose driver cost is O(1). Both plans are
@@ -5219,8 +5204,8 @@ def neardup_dedup_docs(sf_dir: str):
     n_drop = dropds.count()
     docs = _read(sf_dir, "documents", columns=["doc_id", "lang"])
 
-    cap = int(os.environ.get("NEARDUP_GATHER_BYTES", str(64 << 20)))
-    if n_drop * 8 > cap:  # distributed anti semi-join — no driver gather
+    # distributed anti semi-join above the cap — no driver gather
+    if not plan.fits(n_drop * 8, "DRIVER_GATHER_BYTES"):
         from ..stages import joins
 
         return joins.semi_join(

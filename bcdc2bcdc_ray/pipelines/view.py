@@ -61,6 +61,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .. import plan
 from ..canonical import HASH_VERSION, partition_ids
 from ..stages.merge import _maybe_crash_once
 from ..state.manifest import atomic_write_parquet
@@ -984,18 +985,6 @@ def _type_from_str(s: str) -> pa.DataType:
     return pa.type_for_alias(s)
 
 
-def _read_blocks(paths: list[str]) -> int:
-    """Explicit read block count — the engine-wide policy (cpus capped at
-    16; a bytes/128MB term for big inputs, so large feeds still fan out
-    past the file count). Ray's auto-split (SplitBlocks) otherwise shreds
-    small pruned reads into hundreds of tiny blocks and the following
-    sort-based groupby exchanges grow with the SQUARE of the block count
-    (same pathology the bootstrap path fixed; BASELINE.md)."""
-    from .cdc import _scan_blocks
-
-    return _scan_blocks(paths)
-
-
 _WRITER_CACHE: dict = {}
 
 
@@ -1118,7 +1107,8 @@ def create_view(
             | {d.col for d in derived}
         )
         ds = rd.read_parquet(
-            paths, columns=sorted(need), override_num_blocks=_read_blocks(paths)
+            paths, columns=sorted(need),
+            override_num_blocks=plan.read_blocks(paths),
         )
 
         def partials(batch: pa.Table) -> pa.Table:
@@ -1271,16 +1261,10 @@ def refresh_view(view_dir: str, changes_dir: str) -> dict:
     # callables in-process — identical folds, applied-vectors and repair
     # sentinels by construction. The crash hook forces distributed (it
     # hard-exits the worker; Ray's retry is the machinery under test).
-    local_cap = int(
-        os.environ.get(
-            "VIEW_LOCAL_BYTES", os.environ.get("REPLAY_LOCAL_BYTES", str(1 << 20))
-        )
-    )
-    feed_bytes = sum(os.path.getsize(p) for p in by_file)
     lineage = None
-    if feed_bytes <= local_cap and not os.path.exists(
-        os.path.join(view_dir, "_fault_once")
-    ):
+    if plan.fits(
+        plan.file_bytes(by_file), "REPLAY_LOCAL_BYTES"
+    ) and not os.path.exists(os.path.join(view_dir, "_fault_once")):
         from ..stages import evolve as evolve_mod
 
         parts = []
@@ -1299,15 +1283,8 @@ def refresh_view(view_dir: str, changes_dir: str) -> dict:
             # file — when the TOUCHED files are big, those rewrites want
             # the distributed pool's parallelism (same touch-bytes rule as
             # cdc._replay_local); the wasted work is one capped feed read
-            touch_cap = int(
-                os.environ.get("REPLAY_LOCAL_TOUCH_BYTES", str(32 << 20))
-            )
-            touched = sum(
-                os.path.getsize(_view_path(view_dir, v))
-                for v in vpids
-                if os.path.exists(_view_path(view_dir, v))
-            )
-            if touched > touch_cap:
+            touched = plan.file_bytes(_view_path(view_dir, v) for v in vpids)
+            if not plan.fits(touched, "REPLAY_LOCAL_TOUCH_BYTES"):
                 lineage = None
             else:
                 writer = bound_view_writer(view_dir)  # plain task fn
@@ -1317,7 +1294,7 @@ def refresh_view(view_dir: str, changes_dir: str) -> dict:
     if lineage is None:
         ds = rd.read_parquet(
             list(by_file), columns=cols, include_paths=True,
-            override_num_blocks=_read_blocks(list(by_file)),
+            override_num_blocks=plan.read_blocks(list(by_file)),
         )
         lineage = (
             ds.map_batches(partials, batch_format="pyarrow")
@@ -1463,8 +1440,8 @@ def repair_view(view_dir: str) -> dict:
        keys to lake partition ids and read ONLY those files; otherwise read
        all lake files with columns pruned to group + bound sources;
     3. per-block coarse filter against the dirty-key set — broadcast
-       ``is_in`` while the gathered keys fit ``REPAIR_GATHER_BYTES``
-       (64 MB default; force 0 for the distributed plan), an exact
+       ``is_in`` while the gathered keys fit ``plan.DRIVER_GATHER_BYTES``
+       (force 0 for the distributed plan), an exact
        distributed semi-join against the object-store-resident dirty set
        above it (a mass retraction can dirty O(view) groups; the driver
        then holds only an O(partitions) pid summary) → partial min/max
@@ -1506,17 +1483,16 @@ def repair_view(view_dir: str) -> dict:
             mask = nulls if mask is None else pc.or_(mask, nulls)
         return b.filter(mask).select(group_by)
 
-    # dirty-key discovery: driver-side under ``REPAIR_GATHER_BYTES``
-    # (64 MB default — one process, no pipeline spin-up; same crossover
+    # dirty-key discovery: driver-side under ``plan.DRIVER_GATHER_BYTES``
+    # (one process, no pipeline spin-up; same crossover
     # philosophy as the join planner's broadcast probe), distributed scan
     # above it. A distributed scan whose dirty set ITSELF exceeds the cap
     # never lands on the driver (a mass retraction can dirty O(view)
     # groups): it stays materialized in the object store and the recompute
     # below becomes a distributed semi-join against it.
-    cap = int(os.environ.get("REPAIR_GATHER_BYTES", str(64 << 20)))
     dirty_ds = None
     dirty_rows: list = []
-    if sum(os.path.getsize(f) for f in view_files) <= cap:
+    if plan.fits(plan.file_bytes(view_files), "DRIVER_GATHER_BYTES"):
         dirty_tbl = pa.concat_tables(
             [
                 find_dirty(pq.read_table(f, columns=group_by + bound_names))
@@ -1529,13 +1505,13 @@ def repair_view(view_dir: str) -> dict:
         vds = rd.read_parquet(
             view_files,
             columns=group_by + bound_names,
-            override_num_blocks=_read_blocks(view_files),
+            override_num_blocks=plan.read_blocks(view_files),
         )
         dirty_ds = vds.map_batches(
             find_dirty, batch_format="pyarrow"
         ).materialize()
         n_dirty = int(dirty_ds.count())
-        if dirty_ds.size_bytes() <= cap:
+        if plan.fits(dirty_ds.size_bytes(), "DRIVER_GATHER_BYTES"):
             dirty_rows = dirty_ds.take_all()
             dirty_ds = None
     if not n_dirty:
@@ -1654,13 +1630,15 @@ def repair_view(view_dir: str) -> dict:
         # fully distributed recompute: the dirty keys never broadcast —
         # lake rows co-bucket with the dirty-key set on hash(key0) and an
         # exact semi-join keeps the affected groups; the null group (semi
-        # equality never matches null) streams in through its own filter
+        # equality never matches null) streams in through its own filter.
+        # With two consumers, the derived lake slice is materialized once
+        # in the object store so the pruned files are read only once.
         from ..stages import joins
 
         lds = rd.read_parquet(
             lake_files,
             columns=need,
-            override_num_blocks=_read_blocks(lake_files),
+            override_num_blocks=plan.read_blocks(lake_files),
         )
         prep_cols = sorted(set(group_by) | {a.col for a in minmax})
 
@@ -1668,6 +1646,8 @@ def repair_view(view_dir: str) -> dict:
             return _apply_derived(b, derived).select(prep_cols)
 
         prepped = lds.map_batches(prep, batch_format="pyarrow")
+        if dirty_has_null:
+            prepped = prepped.materialize()
         kept = joins.semi_join(
             prepped, dirty_ds, on=[key0], left_cols=prep_cols
         )
@@ -1690,9 +1670,9 @@ def repair_view(view_dir: str) -> dict:
             "repaired": int(sum(r["applied_rows"] for r in lineage)),
         }
 
-    # recompute leg: driver-side under the same 64 MB crossover (the PRUNED
-    # lake slice for a small repair is usually tiny), distributed above it
-    if sum(os.path.getsize(f) for f in lake_files) <= 64 << 20:
+    # recompute leg: driver-side under the same cap (the PRUNED lake slice
+    # for a small repair is usually tiny), distributed above it
+    if plan.fits(plan.file_bytes(lake_files), "DRIVER_GATHER_BYTES"):
         bounds = pa.concat_tables(
             [partial_bounds(pq.read_table(f, columns=need)) for f in lake_files]
         )
@@ -1706,7 +1686,7 @@ def repair_view(view_dir: str) -> dict:
     else:
         lds = rd.read_parquet(
             lake_files, columns=need,
-            override_num_blocks=_read_blocks(lake_files),
+            override_num_blocks=plan.read_blocks(lake_files),
         )
         lineage = (
             lds.map_batches(partial_bounds, batch_format="pyarrow")
@@ -1889,14 +1869,15 @@ def read_window(
     DIRTY pane bound (min/max/hll awaiting repair) reads NULL for that
     aggregate — never a silently-wrong bound.
 
-    Execution crossover (VERDICT r4 wrong #1): up to ``WINDOW_LOCAL_BYTES``
-    (default 64 MB) of view partition bytes the explode+fold runs on the
-    driver; above it the SAME kernel runs distributed — per-block explode +
-    partial fold (a combiner: every window aggregate is associative), ONE
-    bucketed exchange on hash(window_start, *rest), per-bucket final fold +
-    finalize — so the driver holds only the RESULT. For results too big to
-    hold at all, ``as_dataset=True`` returns the (unsorted) Ray Dataset of
-    finalized window rows instead of a table (distributed path only)."""
+    Execution crossover (VERDICT r4 wrong #1): up to
+    ``plan.DRIVER_GATHER_BYTES`` of view partition bytes the explode+fold
+    runs on the driver; above it the SAME kernel runs distributed —
+    per-block explode + partial fold (a combiner: every window aggregate is
+    associative), ONE bucketed exchange on hash(window_start, *rest),
+    per-bucket final fold + finalize — so the driver holds only the RESULT.
+    For results too big to hold at all, ``as_dataset=True`` always takes
+    the distributed plan and returns the (unsorted) Ray Dataset of
+    finalized window rows instead of a table."""
     m = view_meta(view_dir)
     derived = {d["out"]: DeriveSpec(**d) for d in m.get("derived", [])}
     group_by: list[str] = m["group_by"]
@@ -1943,12 +1924,7 @@ def read_window(
         for pid in range(int(m["num_partitions"]))
         if os.path.exists(_view_path(view_dir, pid))
     ]
-    if not paths:
-        return out_schema.empty_table()
-
-    cap = int(os.environ.get("WINDOW_LOCAL_BYTES", str(64 << 20)))
-    total_bytes = sum(os.path.getsize(p) for p in paths)
-    if total_bytes <= cap:
+    if not as_dataset and plan.fits(plan.file_bytes(paths), "DRIVER_GATHER_BYTES"):
         parts = [
             t.select(want)
             for p in paths
@@ -1968,13 +1944,13 @@ def read_window(
     # exchange on hash(window_start, *rest), per-bucket final fold+finalize.
     # The driver never holds panes or exploded rows — only the final result
     # (or nothing at all with as_dataset=True).
-    import ray
     import ray.data as rd
 
     from ..canonical import partition_ids as _pids
 
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    n_buckets = max(8, cpus)
+    if not paths:  # only as_dataset=True gets here without files
+        return rd.from_arrow(out_schema.empty_table())
+    n_buckets = max(8, plan.cpus())
     spec_cols = [c for c, _ in specs]
 
     def combiner(batch: pa.Table) -> pa.Table:
@@ -1991,7 +1967,7 @@ def read_window(
         return _window_finalize(folded, aggs, keys, agg_types, out_schema)
 
     ds = (
-        rd.read_parquet(paths, override_num_blocks=_read_blocks(paths))
+        rd.read_parquet(paths, override_num_blocks=plan.read_blocks(paths))
         .map_batches(combiner, batch_format="pyarrow")
         .groupby("__bucket")
         .map_groups(bucket_fold, batch_format="pyarrow")
@@ -2410,7 +2386,7 @@ def add_aggregate(
         lineage = (
             rd.read_parquet(
                 lake_files, columns=need,
-                override_num_blocks=_read_blocks(lake_files),
+                override_num_blocks=plan.read_blocks(lake_files),
             )
             .map_batches(partials, batch_format="pyarrow")
             .groupby(VIEW_PART)

@@ -43,6 +43,8 @@ from typing import Callable, Optional, Sequence
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .. import plan
+
 
 class TransientFetchError(RuntimeError):
     """A retryable fetch failure (connection reset, 5xx, truncated page)."""
@@ -267,8 +269,7 @@ def read_paged(
     # a fixed actor pool larger than the cluster's CPU budget never starts —
     # clamp the window (leaving one CPU of headroom for the consumer side)
     if ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", max_in_flight))
-        max_in_flight = min(int(max_in_flight), max(1, cpus - 1))
+        max_in_flight = min(int(max_in_flight), max(1, plan.cpus() - 1))
     n_blocks = max(1, math.ceil(len(pages) / max(1, int(bundle_size))))
     ds = rd.from_items([{"page": p} for p in pages], override_num_blocks=n_blocks)
 

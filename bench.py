@@ -977,7 +977,8 @@ def _vm_rss_mb() -> float:
 
 def run_rss_leg() -> dict:
     """One fresh-process RSS probe (child of --rss). Env: RSS_LEG
-    (neardup|denorm|window), RSS_N, RSS_DIR (neardup corpus), plan caps."""
+    (neardup|denorm|window|repair), RSS_N, RSS_DIR (neardup corpus),
+    RSS_AS_DATASET (window), DRIVER_GATHER_BYTES."""
     import resource
 
     import ray
@@ -994,6 +995,8 @@ def run_rss_leg() -> dict:
 
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
+    from bcdc2bcdc_ray import plan
+
     out: dict = {"leg": leg, "n": n}
 
     if leg == "neardup":
@@ -1006,9 +1009,7 @@ def run_rss_leg() -> dict:
         out["kept_rows"] = kept
         # the gather plan's driver payload is exactly the drop-set ids
         out["driver_held_bytes"] = (
-            (n - kept) * 8
-            if int(os.environ.get("NEARDUP_GATHER_BYTES", str(64 << 20))) > 0
-            else 0
+            (n - kept) * 8 if plan.fits((n - kept) * 8, "DRIVER_GATHER_BYTES") else 0
         )
     elif leg == "denorm":
         import pyarrow as pa
@@ -1075,7 +1076,7 @@ def run_rss_leg() -> dict:
             os.path.getsize(os.path.join(vdir, f))
             for f in os.listdir(vdir) if f.endswith(".parquet")
         )
-        dist = int(os.environ.get("WINDOW_LOCAL_BYTES", str(64 << 20))) == 0
+        dist = os.environ.get("RSS_AS_DATASET") == "1"
         out["rss_before_mb"] = round(_vm_rss_mb(), 1)
         t0 = time.perf_counter()
         res = view.read_window(vdir, 3600, 1800, as_dataset=dist)
@@ -1105,25 +1106,32 @@ def run_rss_leg() -> dict:
              view.AggSpec("max_turn", "max", "turn_idx")],
         )
         # the post-mass-retraction state: EVERY group's bound dirty at once
-        # (null the stored bounds in place), then time the repair alone
-        for f in sorted(os.listdir(vdir)):
-            if f.endswith(".parquet"):
-                pth = os.path.join(vdir, f)
-                t = _pq.read_table(pth)
-                meta = t.schema.metadata
-                i = t.column_names.index("max_turn")
-                t = t.set_column(i, "max_turn", pa.nulls(t.num_rows, pa.int32()))
-                _pq.write_table(t.replace_schema_metadata(meta), pth)
+        # (null the stored bounds, tmp + os.replace like every partition
+        # write), then time the repair alone
+        view_files = sorted(
+            os.path.join(vdir, f) for f in os.listdir(vdir) if f.endswith(".parquet")
+        )
+        for pth in view_files:
+            t = _pq.read_table(pth)
+            meta = t.schema.metadata
+            i = t.column_names.index("max_turn")
+            t = t.set_column(i, "max_turn", pa.nulls(t.num_rows, pa.int32()))
+            _pq.write_table(t.replace_schema_metadata(meta), pth + ".tmp")
+            os.replace(pth + ".tmp", pth)
+        # the gather plan's driver payload: the dirty (conv_id, max_turn)
+        # rows it reads off the view files (every row here)
+        gathered = pa.concat_tables(
+            [_pq.read_table(f, columns=["conv_id", "max_turn"]) for f in view_files]
+        ).nbytes
         out["rss_before_mb"] = round(_vm_rss_mb(), 1)
         t0 = time.perf_counter()
         rep = view.repair_view(vdir)
         out["wall_sec"] = round(time.perf_counter() - t0, 2)
         out["dirty_groups"] = rep["dirty_groups"]
         out["repaired"] = rep["repaired"]
-        # the gather plan's driver payload: one Python dict per dirty group
         out["driver_held_bytes"] = (
-            rep["dirty_groups"] * 24
-            if int(os.environ.get("REPAIR_GATHER_BYTES", str(64 << 20))) > 0
+            gathered
+            if plan.fits(plan.file_bytes(view_files), "DRIVER_GATHER_BYTES")
             else 0
         )
         shutil.rmtree(work, ignore_errors=True)
@@ -1164,19 +1172,20 @@ def run_rss() -> dict:
     for nd in doc_sizes:
         d = _gen_dup_corpus(nd, f"/tmp/bench_rss_docs_{nd}")
         for plan, cap in (("gather", str(1 << 40)), ("distributed", "0")):
-            r = leg("neardup", nd, {"NEARDUP_GATHER_BYTES": cap}, {"RSS_DIR": d})
+            r = leg("neardup", nd, {"DRIVER_GATHER_BYTES": cap}, {"RSS_DIR": d})
             legs.append({"stage": "neardup_survivorship", "plan": plan, **r})
     for nc in conv_sizes:
         for plan, cap in (("gather", str(1 << 40)), ("distributed", "0")):
-            r = leg("denorm", nc, {"DENORM_GATHER_BYTES": cap})
+            r = leg("denorm", nc, {"DRIVER_GATHER_BYTES": cap})
             legs.append({"stage": "denorm_fanout", "plan": plan, **r})
     for nc in conv_sizes:
-        for plan, cap in (("driver_fold", str(1 << 40)), ("distributed", "0")):
-            r = leg("window", nc, {"WINDOW_LOCAL_BYTES": cap})
+        for plan, as_ds in (("driver_fold", "0"), ("distributed", "1")):
+            r = leg("window", nc, {"DRIVER_GATHER_BYTES": str(1 << 40),
+                                   "RSS_AS_DATASET": as_ds})
             legs.append({"stage": "read_window", "plan": plan, **r})
     for nc in conv_sizes:
         for plan, cap in (("gather", str(1 << 40)), ("distributed", "0")):
-            r = leg("repair", nc, {"REPAIR_GATHER_BYTES": cap})
+            r = leg("repair", nc, {"DRIVER_GATHER_BYTES": cap})
             legs.append({"stage": "view_repair", "plan": plan, **r})
     return {
         "metric": "driver_rss_crossovers",

@@ -540,10 +540,11 @@ def test_replay_local_schema_evolution(ray_session, dirs, monkeypatch):
 
 def test_iter_lake_batches_matches_read_lake(ray_session, dirs, monkeypatch):
     """iter_lake_batches = read_lake().iter_batches() with a local
-    short-circuit for tiny pruned reads; both sides of the SCAN_LOCAL_BYTES
-    cap must yield the same rows for plain, key-pruned and predicate scans."""
+    short-circuit for tiny pruned reads; both sides of the
+    ``plan.SCAN_LOCAL_BYTES`` cap must yield the same rows for plain, key-pruned and predicate scans."""
     import pyarrow as pa
 
+    from bcdc2bcdc_ray import plan
     from bcdc2bcdc_ray.pipelines import cdc
 
     lake_dir, wal_dir = dirs
@@ -553,7 +554,7 @@ def test_iter_lake_batches_matches_read_lake(ray_session, dirs, monkeypatch):
     pred = [("turn_idx", "<", 5)]
 
     def collect(cap):
-        monkeypatch.setenv("SCAN_LOCAL_BYTES", cap)
+        monkeypatch.setattr(plan, "SCAN_LOCAL_BYTES", cap)
         out = {}
         for name, kw in (
             ("plain", {}),
@@ -569,12 +570,12 @@ def test_iter_lake_batches_matches_read_lake(ray_session, dirs, monkeypatch):
             )
         return out
 
-    local = collect(str(1 << 30))
-    dist = collect("0")
+    local = collect(1 << 30)
+    dist = collect(0)
     for name in local:
         assert local[name].equals(dist[name]), name
     # and both agree with read_lake itself
-    monkeypatch.setenv("SCAN_LOCAL_BYTES", "0")
+    monkeypatch.setattr(plan, "SCAN_LOCAL_BYTES", 0)
     rl = (
         pa.concat_tables(
             list(

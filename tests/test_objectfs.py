@@ -140,7 +140,7 @@ def test_object_feed_to_view_refresh(ray_session, dirs):
 
 def test_object_view_bound_repair_distributed(ray_session, dirs, monkeypatch):
     """Dirty min/max bound repair on the OBJECT backend, forced through the
-    distributed plan (``REPAIR_GATHER_BYTES=0``): the semi-join recompute's
+    distributed plan (``DRIVER_GATHER_BYTES=0``): the semi-join recompute's
     RepairWriter publishes view partitions via atomic whole-object PUT —
     the one write path the other objectfs tests never reach. The healed
     view must equal a full recompute with zero hardlinks anywhere."""
@@ -175,7 +175,7 @@ def test_object_view_bound_repair_distributed(ray_session, dirs, monkeypatch):
     mp = cg.write_wal_chunks(wal, os.path.join(dirs["wal"], "mass"), num_chunks=1)
     cdc.replay(dirs["lake"], mp, spec, changes_dir=dirs["changes"],
                changes_before=True)
-    monkeypatch.setenv("REPAIR_GATHER_BYTES", "0")
+    monkeypatch.setenv("DRIVER_GATHER_BYTES", "0")
     rep = view.refresh_view(dirs["view"], dirs["changes"])
     assert rep["repair"]["dirty_groups"] >= n
     got = view.read_view(dirs["view"]).sort_by([("conv_id", "ascending")])

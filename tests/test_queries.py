@@ -177,6 +177,20 @@ def test_embedding_neardup_recall_gate(ray_session):
     assert approx_pairs <= exact_pairs
 
 
+def test_neardup_distributed_plan_matches_oracle(ray_session, con, monkeypatch):
+    """neardup_dedup_docs' distributed anti semi-join (``DRIVER_GATHER_BYTES=0``)
+    against the same DuckDB oracle as the broadcast plan. The oracle keeps
+    fewer rows than the corpus, so the drop set is non-empty and the zero
+    budget really forces the distributed plan."""
+    import __ray_entry__ as e
+
+    exp = _norm(con.sql(e.oracle_sql()["neardup_dedup_docs"]).df())
+    assert len(exp) < con.sql("SELECT count(*) FROM documents").fetchone()[0]
+    monkeypatch.setenv("DRIVER_GATHER_BYTES", "0")
+    got = _norm(_to_pandas(e.queries()["neardup_dedup_docs"](SF)))
+    pd.testing.assert_frame_equal(got, exp)
+
+
 def test_ngram_jaccard_crossover_paths_identical(ray_session, monkeypatch):
     """The gather-vs-distribute crossover in ngram_jaccard_pairs must be
     invisible in the result: the local verify (candidate payload under the
@@ -193,9 +207,9 @@ def test_ngram_jaccard_crossover_paths_identical(ray_session, monkeypatch):
             .reset_index(drop=True)
         )
 
-    monkeypatch.setenv("JACC_GATHER_BYTES", str(1 << 40))
+    monkeypatch.setenv("DRIVER_GATHER_BYTES", str(1 << 40))
     local = run()
-    monkeypatch.setenv("JACC_GATHER_BYTES", "0")
+    monkeypatch.setenv("DRIVER_GATHER_BYTES", "0")
     dist = run()
     assert len(local) == len(dist) > 0
     pd.testing.assert_frame_equal(local, dist)
